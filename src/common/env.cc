@@ -91,23 +91,11 @@ defaultJobs()
     return static_cast<unsigned>(jobs);
 }
 
-unsigned
-contestJobs()
+void
+applyJobsFlag(int *argc, char **argv)
 {
-    std::uint64_t jobs = envU64("CONTEST_CONTEST_JOBS", 1);
-    if (jobs < 1)
-        jobs = 1;
-    if (jobs > 256)
-        jobs = 256;
-    return static_cast<unsigned>(jobs);
-}
-
-/** Strip `--<flag> V` / `--<flag>=V` from argv into @p env_name. */
-static void
-stripValueFlag(int *argc, char **argv, const char *flag,
-               const char *env_name)
-{
-    const std::size_t n = std::strlen(flag);
+    static const char flag[] = "--jobs";
+    const std::size_t n = sizeof(flag) - 1;
     int out = 1;
     for (int i = 1; i < *argc; ++i) {
         const char *arg = argv[i];
@@ -120,23 +108,10 @@ stripValueFlag(int *argc, char **argv, const char *flag,
             argv[out++] = argv[i];
             continue;
         }
-        setenv(env_name, value.c_str(), 1);
+        setenv("CONTEST_JOBS", value.c_str(), 1);
     }
     argv[out] = nullptr;
     *argc = out;
-}
-
-void
-applyJobsFlag(int *argc, char **argv)
-{
-    stripValueFlag(argc, argv, "--jobs", "CONTEST_JOBS");
-}
-
-void
-applyContestJobsFlag(int *argc, char **argv)
-{
-    stripValueFlag(argc, argv, "--contest-jobs",
-                   "CONTEST_CONTEST_JOBS");
 }
 
 } // namespace contest

@@ -1,5 +1,6 @@
 #include "common/json.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -84,8 +85,6 @@ JsonValue::elements() const
     return arr;
 }
 
-// contest-lint: window-safe (artifact serialization runs after the
-// simulation; call-graph reached only via the push name collision)
 void
 JsonValue::push(JsonValue v)
 {
@@ -200,14 +199,11 @@ jsonNumber(double v)
         std::snprintf(buf, sizeof(buf), "%.0f", v);
         return buf;
     }
-    // Shortest precision that round-trips to the identical bits.
-    char buf[40];
-    for (int prec = 1; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
+    // Shortest representation that round-trips to the identical
+    // bits.
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    return std::string(buf, res.ptr);
 }
 
 void

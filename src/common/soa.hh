@@ -139,9 +139,6 @@ scanBits(const SoaVec<std::uint64_t> &w, std::size_t begin,
         while (word) {
             const int b = std::countr_zero(word);
             word &= word - 1;
-            // Generic visitor: callers pass lambdas the engine
-            // analyzes at their definition sites.
-            // contest-lint: allow(unknown-call)
             if (!fn(base + static_cast<std::size_t>(b)))
                 return false;
         }

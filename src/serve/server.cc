@@ -112,12 +112,28 @@ ContestServer::acceptLoop()
         auto conn = std::make_shared<Connection>();
         conn->fd = client;
         connectionsAccepted.fetch_add(1);
-        std::lock_guard<std::mutex> lock(connMu);
-        connections.push_back(conn);
-        readerThreads.emplace_back(
-            [this, conn] { readerLoop(conn); });
+        {
+            // The reader cannot erase its entry before the thread
+            // handle is stored: it needs connMu to do so.
+            std::lock_guard<std::mutex> lock(connMu);
+            connections[conn.get()] =
+                std::thread([this, conn] { readerLoop(conn); });
+        }
+        joinFinishedReaders();
     }
     drainAndStop();
+}
+
+void
+ContestServer::joinFinishedReaders()
+{
+    std::vector<std::thread> done;
+    {
+        std::lock_guard<std::mutex> lock(connMu);
+        done.swap(finishedReaders);
+    }
+    for (std::thread &t : done)
+        t.join();
 }
 
 void
@@ -160,24 +176,17 @@ ContestServer::drainAndStop()
     }
 
     // 5. Unblock every reader (a blocked recv() returns once its
-    //    socket is shut down) and join them.
-    std::vector<std::thread> readers;
+    //    socket is shut down), wait until each has retired its
+    //    connection, and join them.
     {
-        std::lock_guard<std::mutex> lock(connMu);
-        for (const ConnPtr &conn : connections) {
+        std::unique_lock<std::mutex> lock(connMu);
+        for (const auto &[conn, reader] : connections) {
             conn->open.store(false);
             ::shutdown(conn->fd, SHUT_RDWR);
         }
-        readers.swap(readerThreads);
+        connCv.wait(lock, [this] { return connections.empty(); });
     }
-    for (std::thread &t : readers)
-        t.join();
-    {
-        std::lock_guard<std::mutex> lock(connMu);
-        for (const ConnPtr &conn : connections)
-            closeFd(conn->fd);
-        connections.clear();
-    }
+    joinFinishedReaders();
     if (!opts.quiet)
         inform("contest_serve drained: %llu requests (%llu ok, %llu "
                "failed, %llu refused), %llu warm hits",
@@ -213,8 +222,14 @@ ContestServer::readerLoop(ConnPtr conn)
     conn->open.store(false);
     // The connection is dead (EOF, error, or a poisoned stream);
     // shut it down so the peer sees EOF instead of a silent stall.
-    // The fd itself is closed by drainAndStop, which still owns it.
+    // The fd closes with the last reference to the connection.
     ::shutdown(conn->fd, SHUT_RDWR);
+
+    std::lock_guard<std::mutex> lock(connMu);
+    auto it = connections.find(conn.get());
+    finishedReaders.push_back(std::move(it->second));
+    connections.erase(it);
+    connCv.notify_all();
 }
 
 void

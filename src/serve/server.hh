@@ -42,6 +42,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -114,12 +115,20 @@ class ContestServer
 
   private:
     /** One client connection. open flips false on read error, EOF,
-     *  or drain; the write mutex keeps frames from interleaving. */
+     *  or drain; the write mutex keeps frames from interleaving. The
+     *  fd is closed only when the last reference goes (the reader's
+     *  or an in-flight response's), so a late response can never
+     *  write to a reused descriptor. */
     struct Connection
     {
         int fd = -1;
         std::mutex writeMu;
         std::atomic<bool> open{true};
+
+        Connection() = default;
+        Connection(const Connection &) = delete;
+        Connection &operator=(const Connection &) = delete;
+        ~Connection() { closeFd(fd); }
     };
     using ConnPtr = std::shared_ptr<Connection>;
 
@@ -134,6 +143,9 @@ class ContestServer
     void acceptLoop();
     void dispatcherLoop();
     void readerLoop(ConnPtr conn);
+    /** Join the reader threads that have finished since the last
+     *  call. */
+    void joinFinishedReaders();
     void handleFrame(const ConnPtr &conn, const std::string &payload);
     /** Enqueue a simulation request, or refuse it while draining. */
     void admit(const ConnPtr &conn, ServeRequest req);
@@ -163,9 +175,16 @@ class ContestServer
     std::thread acceptThread;
     std::thread dispatcherThread;
 
+    /** Live connections and their reader threads. A reader erases
+     *  its own entry when its connection ends (the reader's ConnPtr
+     *  keeps the key valid until then) and parks its thread in
+     *  finishedReaders for the accept thread (or the drain) to
+     *  join, so closed connections hold neither an fd nor a thread
+     *  handle for longer than one accept. */
     std::mutex connMu;
-    std::vector<ConnPtr> connections;
-    std::vector<std::thread> readerThreads;
+    std::condition_variable connCv; //!< the drain waits for readers
+    std::unordered_map<Connection *, std::thread> connections;
+    std::vector<std::thread> finishedReaders;
 
     std::mutex qMu;
     std::condition_variable qCv;      //!< dispatcher waits for work

@@ -4,7 +4,7 @@
  *
  * The fetch stage used to re-derive "is this a load / store / branch
  * / syscall, does it write a register" from OpClass for every
- * instruction, every cycle, on every lane. A trace is immutable once
+ * instruction, every cycle, on every core. A trace is immutable once
  * generated, so those predicates are computed exactly once at trace
  * construction and stored as one flags byte per instruction in an
  * array parallel to the TraceInst array. fetch() then pulls a

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <limits>
 
@@ -71,9 +72,10 @@ TEST(Json, EscapingRoundTrips)
 TEST(Json, NumbersRoundTripBitIdentical)
 {
     for (double v :
-         {0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 3.141592653589793,
-          2.718281828459045e-10, 1.7976931348623157e308,
-          5e-324, 400000.0, -2009.0}) {
+         {0.0, 1.0, -1.0, 0.1, 1e-4, 1e-7, 1.0 / 3.0,
+          3.141592653589793, 2.718281828459045e-10,
+          1.7976931348623157e308, DBL_MAX, 5e-324, 123456789.125,
+          400000.0, -2009.0}) {
         std::string text = jsonNumber(v);
         std::string err;
         JsonValue back = JsonValue::parse(text, &err);

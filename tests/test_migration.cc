@@ -138,9 +138,9 @@ TEST(Interrupts, DeterministicWithRefork)
 
 TEST(Interrupts, RejectsPeriodShorterThanHandler)
 {
-    // Re-exec instead of fork: with CONTEST_CONTEST_JOBS > 1 the
-    // contests above ran worker threads, and forking a threaded
-    // process crashes in the child after the expected fatal fires.
+    // Re-exec instead of fork: forking a process that has ever
+    // started threads can crash the child after the expected fatal
+    // fires, and the re-exec style is safe either way.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     auto trace = makeBenchmarkTrace("vpr", 9, 2000);
     ContestConfig cfg;

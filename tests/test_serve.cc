@@ -7,11 +7,14 @@
  * including the concurrency contract (two identical concurrent
  * requests simulate exactly once) and graceful-drain semantics
  * (in-flight work completes, new work is refused, the shutdown ack
- * arrives after the drain).
+ * arrives after the drain) — and that closed connections give back
+ * their fds while the server runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -77,6 +80,17 @@ errorText(const JsonValue &resp)
 {
     const JsonValue *err = resp.find("error");
     return err != nullptr && err->isString() ? err->asString() : "";
+}
+
+/** Open file descriptors of this process. */
+std::size_t
+openFdCount()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &e :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        ++n;
+    return n;
 }
 
 TEST(ServeFrame, RoundTripsThroughArbitraryChunking)
@@ -306,7 +320,9 @@ TEST(ServeServer, ConcurrentIdenticalRequestsSimulateExactlyOnce)
     // same moment. The Runner's per-key once-latch must serialize
     // them onto one simulation; both clients still get full results.
     const unsigned kClients = 2;
-    std::vector<bool> got(kClients, false);
+    // One byte per client: std::vector<bool> packs the flags into
+    // one word, and the two threads' writes would race on it.
+    std::vector<char> got(kClients, 0);
     std::vector<double> timePs(kClients, 0.0);
     {
         std::vector<std::thread> threads;
@@ -321,7 +337,7 @@ TEST(ServeServer, ConcurrentIdenticalRequestsSimulateExactlyOnce)
                             resp, &threadError))
                     return;
                 if (okFlag(resp)) {
-                    got[i] = true;
+                    got[i] = 1;
                     timePs[i] = resp.at("time_ps").asNumber();
                 }
             });
@@ -439,6 +455,45 @@ TEST(ServeServer, HandlesPartialWritesAndPipelinedRequests)
     EXPECT_TRUE(okFlag(resp));
     EXPECT_EQ(resp.at("id").asNumber(), 2.0);
     EXPECT_EQ(resp.at("kind").asString(), "stats");
+
+    server.requestShutdown();
+    server.waitUntilStopped();
+    ::unlink(server.target().unixPath.c_str());
+}
+
+TEST(ServeServer, ClosedConnectionsReleaseTheirFds)
+{
+    ContestServer server(testOptions("reap", 1));
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    const std::size_t baseline = openFdCount();
+
+    JsonValue resp;
+    for (int i = 0; i < 300; ++i) {
+        ServeClient c;
+        ASSERT_TRUE(c.connect(server.target(), &error)) << error;
+        ASSERT_TRUE(c.call(request("ping", i), resp, &error)) << error;
+    }
+
+    // Readers notice EOF asynchronously: wait until only the probe
+    // connection itself is live.
+    ServeClient probe;
+    ASSERT_TRUE(probe.connect(server.target(), &error)) << error;
+    double live = 0.0;
+    for (int tries = 0; tries < 400; ++tries) {
+        ASSERT_TRUE(probe.call(request("stats", 1), resp, &error))
+            << error;
+        live = resp.at("server").at("connections").asNumber();
+        if (live == 1.0)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_EQ(live, 1.0);
+    EXPECT_EQ(resp.at("server").at("connections_accepted").asNumber(),
+              301.0);
+    // The probe holds two fds (client and server end); everything
+    // the 300 closed connections opened is gone.
+    EXPECT_LE(openFdCount(), baseline + 4);
 
     server.requestShutdown();
     server.waitUntilStopped();

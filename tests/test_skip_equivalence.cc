@@ -4,8 +4,9 @@
  * fast-forwarding enabled has to produce results bit-identical to
  * the per-cycle reference mode (CONTEST_NO_SKIP=1) — timings, every
  * pipeline counter, energy numbers, lead fractions. A seed sweep
- * over single-core runs and contests (including a parking pair and
- * an interrupt-driven refork config) pins that equivalence down.
+ * over single-core runs and contests (including a parking pair, a
+ * drop-oldest pair and an interrupt-driven refork config) pins that
+ * equivalence down.
  */
 
 #include <gtest/gtest.h>
@@ -202,25 +203,30 @@ TEST(SkipEquivalence, ContestSeedSweep)
     }
 }
 
-TEST(SkipEquivalence, ParkingPair)
+TEST(SkipEquivalence, SaturatedLaggerPair)
 {
-    // vortex+mcf on a tiny FIFO parks the lagger mid-run; the
-    // park-time rewind of eagerly-applied skip windows must keep the
-    // parked core's counters identical to per-cycle stepping.
+    // vortex+mcf on a tiny FIFO overflows the lagger's FIFO mid-run.
+    // With parking on, the park-time rewind of eagerly-applied skip
+    // windows must keep the parked core's counters identical to
+    // per-cycle stepping; with parking off, the overflow drops the
+    // oldest buffered result and the lagger keeps contesting.
     auto trace = makeBenchmarkTrace("crafty", 2009, 30000);
-    auto run = [&] {
-        ContestConfig cfg;
-        cfg.fifoCapacity = 64;
-        cfg.parkSaturatedLaggers = true;
-        ContestSystem sys({coreConfigByName("vortex"),
-                           coreConfigByName("mcf")},
-                          trace, cfg);
-        return sys.run();
-    };
-    auto fast = withSkipMode(false, run);
-    auto ref = withSkipMode(true, run);
-    EXPECT_TRUE(fast.unitStats[1].saturated);
-    expectSameContest(fast, ref, "parking pair");
+    for (bool park : {true, false}) {
+        auto run = [&] {
+            ContestConfig cfg;
+            cfg.fifoCapacity = 64;
+            cfg.parkSaturatedLaggers = park;
+            ContestSystem sys({coreConfigByName("vortex"),
+                               coreConfigByName("mcf")},
+                              trace, cfg);
+            return sys.run();
+        };
+        auto fast = withSkipMode(false, run);
+        auto ref = withSkipMode(true, run);
+        EXPECT_EQ(fast.unitStats[1].saturated, park);
+        expectSameContest(fast, ref,
+                          park ? "parking pair" : "drop-oldest pair");
+    }
 }
 
 TEST(SkipEquivalence, InterruptRefork)
