@@ -42,27 +42,24 @@ runAblation(ExperimentContext &ctx)
     std::vector<std::string> benches{"gcc", "crafty", "twolf",
                                      "gzip", "perl", "vpr"};
     for (const auto &bench : benches) {
-        auto trace = runner.trace(bench);
         const auto &own = coreConfigByName(bench);
         double perfect = runner.single(bench, bench).result.ipt;
-        auto own_ic = withICache(own);
-        double with_ic = runSingle(own_ic, trace).ipt;
+        double with_ic =
+            runner.single(bench, withICache(own)).result.ipt;
         double cost = speedup(with_ic, perfect);
         costs.push_back(cost);
 
         auto choice = runner.bestContestingPair(bench, {}, 3);
-        ContestSystem sys(
+        const auto &contested = runner.contested(
+            bench,
             {withICache(coreConfigByName(choice.coreA)),
              withICache(coreConfigByName(choice.coreB))},
-            trace);
-        auto contested = sys.run();
+            {});
+        const auto &partner = coreConfigByName(
+            choice.coreA == bench ? choice.coreB : choice.coreA);
         double best_single_ic = std::max(
             with_ic,
-            runSingle(withICache(coreConfigByName(
-                          choice.coreA == bench ? choice.coreB
-                                                : choice.coreA)),
-                      trace)
-                .ipt);
+            runner.single(bench, withICache(partner)).result.ipt);
         double sp = speedup(contested.ipt, best_single_ic);
         speedups.push_back(sp);
         t.row({cellText(bench), cellNum(perfect), cellNum(with_ic),

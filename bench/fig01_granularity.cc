@@ -46,6 +46,9 @@ runFig01(ExperimentContext &ctx)
     for (const auto &bench : profileNames()) {
         TimePs own_total =
             runner.single(bench, bench).regions->total();
+        std::vector<const LoggedRun *> runs;
+        for (const auto &core : palette)
+            runs.push_back(&runner.single(bench, core.name));
 
         std::vector<ArtifactCell> cells{cellText(bench)};
         std::string finest_pair;
@@ -55,12 +58,10 @@ runFig01(ExperimentContext &ctx)
             double best = 0.0;
             std::string best_pair;
             for (std::size_t a = 0; a < palette.size(); ++a) {
-                const auto &ra = runner.single(bench,
-                                               palette[a].name);
+                const LoggedRun &ra = *runs[a];
                 for (std::size_t b = a + 1; b < palette.size();
                      ++b) {
-                    const auto &rb = runner.single(bench,
-                                                   palette[b].name);
+                    const LoggedRun &rb = *runs[b];
                     TimePs fused = fuseRegionTimes(
                         ra.regions->series(), rb.regions->series(),
                         regions_per_block);

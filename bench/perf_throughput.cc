@@ -55,6 +55,8 @@ runThroughput(ExperimentContext &ctx)
     const bool no_skip = simNoSkip();
     SimTimeline *tl = runner.timeline();
     for (const auto &cfg : appendixAPalette()) {
+        // Times the raw core loop, so it stays outside the Runner.
+        // contest-lint: allow(bench-runner)
         OooCore core(cfg, trace);
         const std::uint64_t step = core.periodPs().count();
         auto span_start = SimTimeline::now();
@@ -90,6 +92,7 @@ runThroughput(ExperimentContext &ctx)
     // One contested pair: the sync points (GRB polling, store
     // queue, frontier tracking) bound how much skipping can help.
     {
+        // contest-lint: allow(bench-runner)
         ContestSystem sys({coreConfigByName("gcc"),
                            coreConfigByName("twolf")},
                           trace);

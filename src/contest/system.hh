@@ -207,8 +207,13 @@ struct SingleRunResult
     EnergyBreakdown energy;
 };
 
-/** Execute the trace on a single core of the given configuration. */
-SingleRunResult runSingle(const CoreConfig &config, TracePtr trace);
+/**
+ * Execute the trace on a single core of the given configuration.
+ * @p on_retire, when set, observes every retirement (the Runner's
+ * region log); it does not change the simulation.
+ */
+SingleRunResult runSingle(const CoreConfig &config, TracePtr trace,
+                          OooCore::RetireCallback on_retire = {});
 
 /**
  * The cache-activity counters a finished core contributes to its

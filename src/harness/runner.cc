@@ -10,14 +10,6 @@ namespace contest
 namespace
 {
 
-/** In-memory memo key of a single run: bench and core name, with a
- *  separator no name contains. */
-std::string
-singleMemoKey(const std::string &bench, const std::string &core)
-{
-    return bench + '\x1f' + core;
-}
-
 /** Timeline label of a contested run: bench @ core+core+... */
 std::string
 contestLabel(const std::string &bench,
@@ -66,60 +58,56 @@ Runner::trace(const std::string &bench, std::uint64_t trace_len)
 const LoggedRun &
 Runner::single(const std::string &bench, const std::string &core)
 {
+    return single(bench, coreConfigByName(core));
+}
+
+const LoggedRun &
+Runner::single(const std::string &bench, const CoreConfig &config,
+               std::uint64_t trace_len)
+{
     auto queued = SimTimeline::now();
-    SingleEntry *entry =
-        singles.entryFor(HashedKey(singleMemoKey(bench, core)));
+    const std::uint64_t use_len = trace_len != 0 ? trace_len : len;
+    // The persistent-cache key doubles as the memo key, so a config
+    // variant that keeps its palette name never aliases its
+    // namesake.
+    HashedKey key(
+        ResultCache::singleRunKey(config, bench, seed_, use_len));
+    SingleEntry *entry = singles.entryFor(key);
     std::call_once(entry->once, [&] {
         auto start = SimTimeline::now();
         LoggedRun &run = entry->run;
-        const CoreConfig &config = coreConfigByName(core);
 
         // Persistent layer first: a disk hit restores the result and
         // region series without generating the trace or simulating.
-        std::string key;
         if (disk != nullptr) {
-            key = ResultCache::singleRunKey(config, bench, seed_, len);
             SingleRunResult restored;
             std::vector<TimePs> series;
-            if (disk->load(key, restored, series)) {
+            if (disk->load(key.key, restored, series)) {
                 run.result = restored;
                 run.regions =
                     std::make_shared<RegionLog>(std::move(series));
                 ++diskHitCount;
                 if (timeline_ != nullptr)
                     timeline_->record(SimTimeline::Kind::Single,
-                                      bench + '@' + core, queued,
-                                      start, SimTimeline::now(),
-                                      true);
+                                      bench + '@' + config.name,
+                                      queued, start,
+                                      SimTimeline::now(), true);
                 return;
             }
         }
 
-        TracePtr t = trace(bench);
         run.regions = std::make_shared<RegionLog>();
-
-        OooCore sim(config, t);
         RegionLog *log = run.regions.get();
-        sim.setRetireCallback(
+        run.result = runSingle(
+            config, trace(bench, use_len),
             [log](InstSeq seq, TimePs now) { log->onRetire(seq, now); });
-
-        TimePs now{};
-        while (!sim.done()) {
-            sim.tick(now);
-            now += sim.periodPs();
-        }
-        run.result.timePs = now;
-        run.result.ipt = instPerNs(t->endSeq(), now);
-        run.result.stats = sim.stats();
-        run.result.energy = estimateEnergy(config, sim.stats(),
-                                           baseActivity(sim), now);
         ++simsDone;
 
         if (disk != nullptr)
-            disk->store(key, run.result, run.regions->series());
+            disk->store(key.key, run.result, run.regions->series());
         if (timeline_ != nullptr)
             timeline_->record(SimTimeline::Kind::Single,
-                              bench + '@' + core, queued, start,
+                              bench + '@' + config.name, queued, start,
                               SimTimeline::now(), false);
     });
     return entry->run;
@@ -136,16 +124,13 @@ Runner::contested(const std::string &bench,
     // One canonical string serves as the in-memory memo key and, on
     // a miss, the persistent-cache key: two contested() calls agree
     // on it iff they are the same deterministic simulation.
-    std::string key = ResultCache::contestKey(bench, cores, config,
-                                              seed_, use_len);
-    ContestEntry *entry =
-        contests.entryFor(HashedKey(std::move(key)));
+    HashedKey key(
+        ResultCache::contestKey(bench, cores, config, seed_, use_len));
+    ContestEntry *entry = contests.entryFor(key);
     std::call_once(entry->once, [&] {
         auto start = SimTimeline::now();
-        const std::string disk_key = ResultCache::contestKey(
-            bench, cores, config, seed_, use_len);
         if (disk != nullptr
-            && disk->loadContest(disk_key, entry->result)) {
+            && disk->loadContest(key.key, entry->result)) {
             ++contestDiskHitCount;
             if (timeline_ != nullptr)
                 timeline_->record(SimTimeline::Kind::Contest,
@@ -159,7 +144,7 @@ Runner::contested(const std::string &bench,
         ++contestsDone;
 
         if (disk != nullptr)
-            disk->storeContest(disk_key, entry->result);
+            disk->storeContest(key.key, entry->result);
         if (timeline_ != nullptr)
             timeline_->record(SimTimeline::Kind::Contest,
                               contestLabel(bench, cores), queued,
@@ -218,9 +203,11 @@ Runner::bestContestingPair(const std::string &bench,
 
     const auto &palette = appendixAPalette();
 
-    // Warm the per-core single runs concurrently before ranking.
+    // Warm the per-core single runs concurrently before ranking;
+    // each lookup builds a content key, so the ranking reuses these.
+    std::vector<const LoggedRun *> runs(palette.size());
     pool_->parallelFor(palette.size(), [&](std::size_t i) {
-        single(bench, palette[i].name);
+        runs[i] = &single(bench, palette[i].name);
     });
 
     // Rank all pairs by the oracle fusion of their region logs at a
@@ -234,9 +221,9 @@ Runner::bestContestingPair(const std::string &bench,
     };
     std::vector<Ranked> ranked;
     for (std::size_t a = 0; a < palette.size(); ++a) {
-        const auto &ra = single(bench, palette[a].name);
+        const LoggedRun &ra = *runs[a];
         for (std::size_t b = a + 1; b < palette.size(); ++b) {
-            const auto &rb = single(bench, palette[b].name);
+            const LoggedRun &rb = *runs[b];
             TimePs fused = fuseRegionTimes(ra.regions->series(),
                                            rb.regions->series(), 4);
             std::uint64_t insts =

@@ -41,9 +41,17 @@ struct LoggedRun
 /**
  * Caching experiment runner. All bench binaries funnel their
  * simulations through a Runner so that a single-core (benchmark,
- * core type) result — and, since the pipelined scheduler, a
- * contested (benchmark, ordered cores, contest config) result — is
- * simulated exactly once per process.
+ * core config, trace length) result and a contested (benchmark,
+ * ordered core configs, contest config, trace length) result are
+ * each simulated exactly once per process, and — with a
+ * ResultCache attached — not at all on a warm rerun.
+ *
+ * Both memo maps are content-keyed: the in-memory key is the same
+ * canonical string the persistent cache uses
+ * (ResultCache::singleRunKey / contestKey), covering every
+ * CoreConfig field. A config variant that keeps its palette name
+ * (withICache(own), say) is therefore its own entry, never its
+ * namesake's result.
  *
  * The runner is safe to use from many threads at once — the suite
  * scheduler's pool and, since the contest service daemon, an
@@ -77,9 +85,20 @@ class Runner
     TracePtr trace(const std::string &bench,
                    std::uint64_t trace_len = 0);
 
-    /** Cached single-core run with region logging. */
+    /** single() of the palette core type named @p core. */
     const LoggedRun &single(const std::string &bench,
                             const std::string &core);
+
+    /**
+     * Single-core run with region logging, memoized on the content
+     * key of (@p config, benchmark, seed, length) and backed by the
+     * persistent result cache when one is attached. @p trace_len
+     * overrides the runner's configured trace length (0: use the
+     * configured one); the override is part of the key.
+     */
+    const LoggedRun &single(const std::string &bench,
+                            const CoreConfig &config,
+                            std::uint64_t trace_len = 0);
 
     /**
      * Contested run, memoized on (benchmark, ordered core configs,

@@ -385,7 +385,7 @@ ContestServer::execute(const Job &job)
         const CoreConfig &core = coreConfigByName(req.core);
         warm = warmKey(ResultCache::singleRunKey(
             core, req.bench, opts.seed, opts.traceLen));
-        const LoggedRun &run = runner_->single(req.bench, req.core);
+        const LoggedRun &run = runner_->single(req.bench, core);
         resp.set("time_ps",
                  JsonValue::number(static_cast<double>(
                      run.result.timePs.count())));

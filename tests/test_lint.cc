@@ -295,6 +295,41 @@ TEST(LintCoreContainer, FixtureContentTripsUnderCorePath)
               "core-soa"));
 }
 
+TEST(LintBenchRunner, FlagsDirectSimulationInBenchOnly)
+{
+    const std::string src =
+        "double ipt = runSingle(cfg, trace).ipt;\n"
+        "ContestSystem sys({a, b}, trace);\n"
+        "OooCore core{cfg, trace};\n"
+        "auto p = std::make_unique<OooCore>(cfg, trace);\n";
+    auto v = lintFile("bench/abl_x.cc", src);
+    const auto rules = rulesIn(v);
+    EXPECT_EQ(std::count(rules.begin(), rules.end(),
+                         std::string("bench-runner")),
+              4);
+    // Outside bench/ (tests, tools, the library) direct simulation
+    // is the point.
+    EXPECT_FALSE(fired(lintFile("tests/test_x.cc", src),
+                       "bench-runner"));
+    // Uses that construct nothing stay quiet.
+    EXPECT_TRUE(lintFile("bench/abl_x.cc",
+                         "const OooCore &c = sys.core(0);\n"
+                         "OooCore::RetireCallback cb;\n"
+                         "double ipt = runner.single(b, cfg)"
+                         ".result.ipt;\n")
+                    .empty());
+}
+
+TEST(LintBenchRunner, AllowCommentSuppresses)
+{
+    EXPECT_TRUE(lintFile("bench/perf_x.cc",
+                         "// contest-lint: allow(bench-runner)\n"
+                         "OooCore core(cfg, trace);\n"
+                         "ContestSystem sys({a, b}, trace); "
+                         "// contest-lint: allow(bench-runner)\n")
+                    .empty());
+}
+
 TEST(LintPanicMessage, RequiresInvariantNamingMessage)
 {
     EXPECT_TRUE(fired(

@@ -196,5 +196,48 @@ TEST_F(ResultCacheTest, RunnerWarmStartSkipsSimulation)
     EXPECT_EQ(other.diskHits(), 0u);
 }
 
+TEST_F(ResultCacheTest, RunnerSingleKeysOnTheFullCoreConfig)
+{
+    // An I-cache variant keeps its palette name, so a memo keyed on
+    // (bench, core name) would hand it the perfect-I-cache result.
+    CoreConfig icache = coreConfigByName("gcc");
+    icache.modelICache = true;
+
+    ResultCache cold_cache(dir);
+    Runner cold(4000, 11);
+    cold.setResultCache(&cold_cache);
+    const auto &perfect = cold.single("gcc", "gcc");
+    const auto &modeled = cold.single("gcc", icache);
+    EXPECT_EQ(cold.simulationsPerformed(), 2u);
+    EXPECT_NE(modeled.result.timePs, perfect.result.timePs);
+    EXPECT_GT(modeled.result.stats.icacheMisses, 0u);
+    EXPECT_EQ(modeled.result.timePs,
+              runSingle(icache, cold.trace("gcc")).timePs);
+
+    // A trace-length override is its own entry.
+    const auto &shorter = cold.single("gcc", icache, 3000);
+    EXPECT_EQ(cold.simulationsPerformed(), 3u);
+    EXPECT_EQ(shorter.result.stats.retired, 3000u);
+    EXPECT_EQ(&cold.single("gcc", icache), &modeled);
+    EXPECT_EQ(cold.simulationsPerformed(), 3u);
+
+    // A second runner on the same directory simulates nothing and
+    // restores each entry bit-identically.
+    ResultCache warm_cache(dir);
+    Runner warm(4000, 11);
+    warm.setResultCache(&warm_cache);
+    const auto &warm_perfect = warm.single("gcc", "gcc");
+    const auto &warm_modeled = warm.single("gcc", icache);
+    const auto &warm_shorter = warm.single("gcc", icache, 3000);
+    EXPECT_EQ(warm.simulationsPerformed(), 0u);
+    EXPECT_EQ(warm.diskHits(), 3u);
+    EXPECT_EQ(warm_perfect.result.timePs, perfect.result.timePs);
+    EXPECT_EQ(warm_modeled.result.timePs, modeled.result.timePs);
+    EXPECT_EQ(warm_modeled.result.ipt, modeled.result.ipt);
+    EXPECT_EQ(warm_modeled.regions->series(),
+              modeled.regions->series());
+    EXPECT_EQ(warm_shorter.result.timePs, shorter.result.timePs);
+}
+
 } // namespace
 } // namespace contest

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <vector>
 
 #include "contest/system.hh"
 #include "core/palette.hh"
@@ -107,15 +108,27 @@ TEST(SkipEquivalence, SingleCoreSeedSweep)
             for (const char *core : {"twolf", "mcf", "vortex"}) {
                 auto trace = makeBenchmarkTrace(bench, seed, 15000);
                 const auto &cfg = coreConfigByName(core);
+                // The retire stream feeds the Runner's region logs,
+                // so every retirement time must match too.
+                std::vector<TimePs> fast_retires;
+                std::vector<TimePs> ref_retires;
                 auto fast = withSkipMode(false, [&] {
-                    return runSingle(cfg, trace);
+                    return runSingle(cfg, trace,
+                                     [&](InstSeq, TimePs now) {
+                                         fast_retires.push_back(now);
+                                     });
                 });
                 auto ref = withSkipMode(true, [&] {
-                    return runSingle(cfg, trace);
+                    return runSingle(cfg, trace,
+                                     [&](InstSeq, TimePs now) {
+                                         ref_retires.push_back(now);
+                                     });
                 });
                 std::string what = std::string(bench) + " on " + core
                     + " seed " + std::to_string(seed);
                 EXPECT_EQ(fast.timePs, ref.timePs) << what;
+                EXPECT_EQ(fast_retires.size(), trace->size()) << what;
+                EXPECT_EQ(fast_retires, ref_retires) << what;
                 EXPECT_EQ(fast.ipt, ref.ipt) << what;
                 expectSameStats(fast.stats, ref.stats, what.c_str());
                 expectSameEnergy(fast.energy, ref.energy,

@@ -27,6 +27,11 @@
  *                          src/core/: hot state is parallel SoaVec
  *                          field arrays plus uint64 mask words
  *                          (DESIGN.md §13)
+ *  - bench-runner          no runSingle() call and no direct
+ *                          ContestSystem / OooCore construction in
+ *                          bench/: experiments simulate through the
+ *                          Runner so its memo and result cache see
+ *                          every run
  *
  * Any line (or its predecessor) may carry
  *     // contest-lint: allow(<rule>)
@@ -230,6 +235,57 @@ identifierLike(const std::string &tok)
     char c0 = tok[0];
     return isIdentChar(c0)
         && !std::isdigit(static_cast<unsigned char>(c0));
+}
+
+/** Does @p l call @p fn (an identifier followed by '(')? */
+inline bool
+callsFunction(const std::string &l, const std::string &fn)
+{
+    std::size_t pos = 0;
+    while ((pos = l.find(fn, pos)) != std::string::npos) {
+        std::size_t p = pos + fn.size();
+        const bool word_start = pos == 0 || !isIdentChar(l[pos - 1]);
+        while (p < l.size() && l[p] == ' ')
+            ++p;
+        if (word_start && p < l.size() && l[p] == '(')
+            return true;
+        pos += fn.size();
+    }
+    return false;
+}
+
+/**
+ * Does @p l construct a @p type object: a declaration
+ * `type name(`/`type name{`, or `make_unique<type>`/
+ * `make_shared<type>`? References, pointers and nested names
+ * (`type::Member`) are uses, not constructions.
+ */
+inline bool
+constructsType(const std::string &l, const std::string &type)
+{
+    for (const char *factory : {"make_unique<", "make_shared<"})
+        if (l.find(factory + type + ">") != std::string::npos)
+            return true;
+    std::size_t pos = 0;
+    while ((pos = l.find(type, pos)) != std::string::npos) {
+        std::size_t p = pos + type.size();
+        const bool word = (pos == 0 || !isIdentChar(l[pos - 1]))
+            && (p >= l.size() || !isIdentChar(l[p]));
+        pos = p;
+        if (!word)
+            continue;
+        while (p < l.size() && l[p] == ' ')
+            ++p;
+        if (p >= l.size() || !isIdentChar(l[p]))
+            continue;
+        while (p < l.size() && isIdentChar(l[p]))
+            ++p;
+        while (p < l.size() && l[p] == ' ')
+            ++p;
+        if (p < l.size() && (l[p] == '(' || l[p] == '{'))
+            return true;
+    }
+    return false;
 }
 
 } // namespace detail
@@ -535,6 +591,31 @@ lintFile(const std::string &path, const std::string &content)
                     pos = open;
                 }
             }
+        }
+    }
+
+    // ---- bench-runner ------------------------------------------
+    // The Runner's content-keyed memo and ResultCache are what make
+    // a warm suite rerun simulate nothing; an experiment that calls
+    // runSingle() or builds its own ContestSystem/OooCore bypasses
+    // both and re-simulates on every rerun. A benchmark that times
+    // the raw core carries an allow-comment.
+    if (path.rfind("bench/", 0) == 0) {
+        for (std::size_t i = 0; i < code.size(); ++i) {
+            const std::string &l = code[i];
+            if (callsFunction(l, "runSingle"))
+                report(i + 1, "bench-runner",
+                       "runSingle() in an experiment bypasses the "
+                       "Runner's memo and result cache; use "
+                       "runner.single(bench, config)");
+            for (const char *type : {"ContestSystem", "OooCore"})
+                if (constructsType(l, type))
+                    report(i + 1, "bench-runner",
+                           std::string("direct ") + type
+                               + " construction in an experiment "
+                                 "bypasses the Runner's memo and "
+                                 "result cache; use runner.single / "
+                                 "runner.contested");
         }
     }
 
