@@ -109,6 +109,11 @@ class ResultCache
     /** Entry path for a key (digest-named; exposed for tests). */
     std::string entryPath(const std::string &key) const;
 
+    /** The 16-hex digest of @p key under format @p version: the stem
+     *  of the file entryPath() names for it. */
+    static std::string entryStem(const std::string &key,
+                                 int version = currentVersion);
+
   private:
     std::string dir;
     int formatVersion;

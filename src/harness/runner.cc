@@ -24,6 +24,16 @@ contestLabel(const std::string &bench,
     return label;
 }
 
+/** Timeline label of a run: @p what, then '#' and the stem of @p
+ *  key's ResultCache entry file, so every span names its entry. */
+std::string
+spanLabel(std::string what, const std::string &key)
+{
+    what += '#';
+    what += ResultCache::entryStem(key);
+    return what;
+}
+
 } // namespace
 
 Runner::Runner(std::uint64_t trace_len, std::uint64_t seed,
@@ -61,96 +71,135 @@ Runner::single(const std::string &bench, const std::string &core)
     return single(bench, coreConfigByName(core));
 }
 
-const LoggedRun &
-Runner::single(const std::string &bench, const CoreConfig &config,
-               std::uint64_t trace_len)
+HashedKey
+Runner::singleKey(const std::string &bench, const CoreConfig &config,
+                  std::uint64_t trace_len) const
 {
-    auto queued = SimTimeline::now();
-    const std::uint64_t use_len = trace_len != 0 ? trace_len : len;
     // The persistent-cache key doubles as the memo key, so a config
     // variant that keeps its palette name never aliases its
     // namesake.
-    HashedKey key(
-        ResultCache::singleRunKey(config, bench, seed_, use_len));
-    SingleEntry *entry = singles.entryFor(key);
+    return HashedKey(ResultCache::singleRunKey(
+        config, bench, seed_, trace_len != 0 ? trace_len : len));
+}
+
+HashedKey
+Runner::contestKey(const std::string &bench,
+                   const std::vector<CoreConfig> &cores,
+                   const ContestConfig &config,
+                   std::uint64_t trace_len) const
+{
+    // One canonical string serves as the in-memory memo key and, on
+    // a miss, the persistent-cache key: two contested() calls agree
+    // on it iff they are the same deterministic simulation.
+    return HashedKey(ResultCache::contestKey(
+        bench, cores, config, seed_, trace_len != 0 ? trace_len : len));
+}
+
+const LoggedRun &
+Runner::single(const std::string &bench, const CoreConfig &config,
+               std::uint64_t trace_len, bool *memo_hit)
+{
+    auto queued = SimTimeline::now();
+    const std::uint64_t use_len = trace_len != 0 ? trace_len : len;
+    const HashedKey key = singleKey(bench, config, use_len);
+    SingleEntry *entry = singles.entryFor(key, memo_hit);
     std::call_once(entry->once, [&] {
         auto start = SimTimeline::now();
         LoggedRun &run = entry->run;
 
         // Persistent layer first: a disk hit restores the result and
         // region series without generating the trace or simulating.
-        if (disk != nullptr) {
-            SingleRunResult restored;
-            std::vector<TimePs> series;
-            if (disk->load(key.key, restored, series)) {
-                run.result = restored;
-                run.regions =
-                    std::make_shared<RegionLog>(std::move(series));
-                ++diskHitCount;
-                if (timeline_ != nullptr)
-                    timeline_->record(SimTimeline::Kind::Single,
-                                      bench + '@' + config.name,
-                                      queued, start,
-                                      SimTimeline::now(), true);
-                return;
-            }
+        SingleRunResult restored;
+        std::vector<TimePs> series;
+        const bool cached = disk != nullptr
+                            && disk->load(key.key, restored, series);
+        if (cached) {
+            run.result = restored;
+            run.regions = std::make_shared<RegionLog>(std::move(series));
+            ++diskHitCount;
+        } else {
+            run.regions = std::make_shared<RegionLog>();
+            RegionLog *log = run.regions.get();
+            run.result = runSingle(config, trace(bench, use_len),
+                                   [log](InstSeq seq, TimePs now) {
+                                       log->onRetire(seq, now);
+                                   });
+            ++simsDone;
+            if (disk != nullptr)
+                disk->store(key.key, run.result,
+                            run.regions->series());
         }
-
-        run.regions = std::make_shared<RegionLog>();
-        RegionLog *log = run.regions.get();
-        run.result = runSingle(
-            config, trace(bench, use_len),
-            [log](InstSeq seq, TimePs now) { log->onRetire(seq, now); });
-        ++simsDone;
-
-        if (disk != nullptr)
-            disk->store(key.key, run.result, run.regions->series());
         if (timeline_ != nullptr)
             timeline_->record(SimTimeline::Kind::Single,
-                              bench + '@' + config.name, queued, start,
-                              SimTimeline::now(), false);
+                              spanLabel(bench + '@' + config.name,
+                                        key.key),
+                              queued, start, SimTimeline::now(),
+                              cached);
+        entry->ready.store(true, std::memory_order_release);
     });
     return entry->run;
+}
+
+const LoggedRun *
+Runner::finishedSingle(const std::string &bench,
+                       const CoreConfig &config,
+                       std::uint64_t trace_len)
+{
+    const SingleEntry *entry =
+        singles.find(singleKey(bench, config, trace_len));
+    return entry != nullptr
+                   && entry->ready.load(std::memory_order_acquire)
+               ? &entry->run
+               : nullptr;
 }
 
 const ContestResult &
 Runner::contested(const std::string &bench,
                   const std::vector<CoreConfig> &cores,
                   const ContestConfig &config,
-                  std::uint64_t trace_len)
+                  std::uint64_t trace_len, bool *memo_hit)
 {
     auto queued = SimTimeline::now();
     const std::uint64_t use_len = trace_len != 0 ? trace_len : len;
-    // One canonical string serves as the in-memory memo key and, on
-    // a miss, the persistent-cache key: two contested() calls agree
-    // on it iff they are the same deterministic simulation.
-    HashedKey key(
-        ResultCache::contestKey(bench, cores, config, seed_, use_len));
-    ContestEntry *entry = contests.entryFor(key);
+    const HashedKey key = contestKey(bench, cores, config, use_len);
+    ContestEntry *entry = contests.entryFor(key, memo_hit);
     std::call_once(entry->once, [&] {
         auto start = SimTimeline::now();
-        if (disk != nullptr
-            && disk->loadContest(key.key, entry->result)) {
+        const bool cached =
+            disk != nullptr
+            && disk->loadContest(key.key, entry->result);
+        if (cached) {
             ++contestDiskHitCount;
-            if (timeline_ != nullptr)
-                timeline_->record(SimTimeline::Kind::Contest,
-                                  contestLabel(bench, cores), queued,
-                                  start, SimTimeline::now(), true);
-            return;
+        } else {
+            ContestSystem sys(cores, trace(bench, use_len), config);
+            entry->result = sys.run();
+            ++contestsDone;
+            if (disk != nullptr)
+                disk->storeContest(key.key, entry->result);
         }
-
-        ContestSystem sys(cores, trace(bench, use_len), config);
-        entry->result = sys.run();
-        ++contestsDone;
-
-        if (disk != nullptr)
-            disk->storeContest(key.key, entry->result);
         if (timeline_ != nullptr)
             timeline_->record(SimTimeline::Kind::Contest,
-                              contestLabel(bench, cores), queued,
-                              start, SimTimeline::now(), false);
+                              spanLabel(contestLabel(bench, cores),
+                                        key.key),
+                              queued, start, SimTimeline::now(),
+                              cached);
+        entry->ready.store(true, std::memory_order_release);
     });
     return entry->result;
+}
+
+const ContestResult *
+Runner::finishedContest(const std::string &bench,
+                        const std::vector<CoreConfig> &cores,
+                        const ContestConfig &config,
+                        std::uint64_t trace_len)
+{
+    const ContestEntry *entry =
+        contests.find(contestKey(bench, cores, config, trace_len));
+    return entry != nullptr
+                   && entry->ready.load(std::memory_order_acquire)
+               ? &entry->result
+               : nullptr;
 }
 
 const ContestResult &

@@ -60,7 +60,9 @@ struct LoggedRun
  * held only for the lookup/insert (never across a simulation), and
  * each entry carries a per-key once-latch so two threads never
  * simulate the same keyed run — the second requester blocks until
- * the first finishes. Because every simulation is self-contained and
+ * the first finishes. finishedSingle() / finishedContest() peek
+ * without blocking: they return an entry only once its latch has
+ * completed. Because every simulation is self-contained and
  * writes only its own cache slot, results are bit-identical for any
  * job count, including 1.
  *
@@ -94,11 +96,25 @@ class Runner
      * key of (@p config, benchmark, seed, length) and backed by the
      * persistent result cache when one is attached. @p trace_len
      * overrides the runner's configured trace length (0: use the
-     * configured one); the override is part of the key.
+     * configured one); the override is part of the key. @p memo_hit,
+     * when given, is set to whether the memo entry already existed
+     * when this call looked it up (another call computed, or is
+     * computing, the run).
      */
     const LoggedRun &single(const std::string &bench,
                             const CoreConfig &config,
-                            std::uint64_t trace_len = 0);
+                            std::uint64_t trace_len = 0,
+                            bool *memo_hit = nullptr);
+
+    /**
+     * The finished result single(@p bench, @p config, @p trace_len)
+     * would return, or null while no call has completed it. Never
+     * blocks on a running simulation and never creates an entry, so
+     * a server can answer memo hits without a worker.
+     */
+    const LoggedRun *finishedSingle(const std::string &bench,
+                                    const CoreConfig &config,
+                                    std::uint64_t trace_len = 0);
 
     /**
      * Contested run, memoized on (benchmark, ordered core configs,
@@ -112,11 +128,21 @@ class Runner
      * (0: use the configured one); the override is part of the cache
      * key, so experiments that deliberately contest shorter traces
      * (contest-aware exploration) still memoize and persist.
+     * @p memo_hit as for single().
      */
     const ContestResult &contested(const std::string &bench,
                                    const std::vector<CoreConfig> &cores,
                                    const ContestConfig &config,
-                                   std::uint64_t trace_len = 0);
+                                   std::uint64_t trace_len = 0,
+                                   bool *memo_hit = nullptr);
+
+    /** The finished result contested() would return for the same
+     *  arguments, or null; never blocks, never creates an entry. */
+    const ContestResult *
+    finishedContest(const std::string &bench,
+                    const std::vector<CoreConfig> &cores,
+                    const ContestConfig &config,
+                    std::uint64_t trace_len = 0);
 
     /** Contested run between two palette core types. */
     const ContestResult &contestedPair(const std::string &bench,
@@ -201,7 +227,10 @@ class Runner
 
   private:
     /** Memo-map slot: the once-latch serializes the first (and only)
-     *  computation of the keyed value; later readers see it filled. */
+     *  computation of the keyed value; later readers see it filled.
+     *  Run entries also carry a ready flag, release-stored as the
+     *  latch's computation ends, so a non-blocking peek can tell a
+     *  finished entry from one still being computed. */
     struct TraceEntry
     {
         std::once_flag once;
@@ -210,11 +239,13 @@ class Runner
     struct SingleEntry
     {
         std::once_flag once;
+        std::atomic<bool> ready{false};
         LoggedRun run;
     };
     struct ContestEntry
     {
         std::once_flag once;
+        std::atomic<bool> ready{false};
         ContestResult result;
     };
 
@@ -231,16 +262,29 @@ class Runner
     {
       public:
         /** Find-or-create the entry for @p key, holding only the
-         *  owning shard's mutex for the lookup/insert. */
+         *  owning shard's mutex for the lookup/insert. @p existed,
+         *  when given, reports whether the entry was already there. */
         Entry *
-        entryFor(HashedKey key)
+        entryFor(const HashedKey &key, bool *existed = nullptr)
         {
-            Shard &s = shards[key.hash & (kShards - 1)];
+            Shard &s = shardOf(key);
             std::lock_guard<std::mutex> lock(s.mu);
-            auto &slot = s.map[std::move(key)];
-            if (!slot)
-                slot = std::make_unique<Entry>();
-            return slot.get();
+            auto [it, inserted] = s.map.try_emplace(key);
+            if (inserted)
+                it->second = std::make_unique<Entry>();
+            if (existed != nullptr)
+                *existed = !inserted;
+            return it->second.get();
+        }
+
+        /** The entry for @p key, or null; never inserts. */
+        Entry *
+        find(const HashedKey &key)
+        {
+            Shard &s = shardOf(key);
+            std::lock_guard<std::mutex> lock(s.mu);
+            auto it = s.map.find(key);
+            return it == s.map.end() ? nullptr : it->second.get();
         }
 
         /** Reserve buckets for @p total entries across all shards. */
@@ -263,7 +307,23 @@ class Runner
                                HashedKeyHash> map;
         };
         std::array<Shard, kShards> shards;
+
+        Shard &
+        shardOf(const HashedKey &key)
+        {
+            return shards[key.hash & (kShards - 1)];
+        }
     };
+
+    /** The memo (and ResultCache) key of single() / contested(),
+     *  with the trace-length override resolved. */
+    HashedKey singleKey(const std::string &bench,
+                        const CoreConfig &config,
+                        std::uint64_t trace_len) const;
+    HashedKey contestKey(const std::string &bench,
+                         const std::vector<CoreConfig> &cores,
+                         const ContestConfig &config,
+                         std::uint64_t trace_len) const;
 
     std::uint64_t len;
     std::uint64_t seed_;

@@ -47,7 +47,9 @@ class SimTimeline
     struct Span
     {
         Kind kind = Kind::Single;
-        std::string label; //!< e.g. "gcc@crafty" or "gcc@gcc+twolf"
+        /** e.g. "gcc@crafty#<stem>" or "gcc@gcc+twolf#<stem>", the
+         *  stem naming the run's ResultCache entry file */
+        std::string label;
         bool cached = false; //!< restored from disk, nothing simulated
         double queuedSec = 0.0; //!< request first observed
         double startSec = 0.0;  //!< simulation / cache probe began

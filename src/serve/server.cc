@@ -26,6 +26,48 @@ msBetween(SimTimeline::Clock::time_point from,
         .count();
 }
 
+/** The palette configs a contest request names, in order. */
+std::vector<CoreConfig>
+contestCores(const ServeRequest &req)
+{
+    std::vector<CoreConfig> cores;
+    cores.reserve(req.cores.size());
+    for (const std::string &name : req.cores)
+        cores.push_back(coreConfigByName(name));
+    return cores;
+}
+
+/** The ok response to a single request answered by @p run. */
+JsonValue
+singleResponse(const ServeRequest &req, const LoggedRun &run)
+{
+    JsonValue resp = serveOkResponse(req);
+    resp.set("time_ps", JsonValue::number(static_cast<double>(
+                            run.result.timePs.count())));
+    resp.set("ipt", JsonValue::number(run.result.ipt));
+    resp.set("energy_nj",
+             JsonValue::number(run.result.energy.totalNj()));
+    return resp;
+}
+
+/** The ok response to a contest request answered by @p result. */
+JsonValue
+contestResponse(const ServeRequest &req, const ContestResult &result)
+{
+    JsonValue resp = serveOkResponse(req);
+    resp.set("time_ps", JsonValue::number(static_cast<double>(
+                            result.timePs.count())));
+    resp.set("ipt", JsonValue::number(result.ipt));
+    resp.set("lead_changes", JsonValue::number(static_cast<double>(
+                                 result.leadChanges)));
+    resp.set("energy_nj", JsonValue::number(result.totalEnergyNj()));
+    JsonValue lead = JsonValue::array();
+    for (double f : result.leadFraction)
+        lead.push(JsonValue::number(f));
+    resp.set("lead_fraction", std::move(lead));
+    return resp;
+}
+
 } // namespace
 
 ContestServer::ContestServer(ServeOptions options)
@@ -277,10 +319,44 @@ ContestServer::handleFrame(const ConnPtr &conn,
         requestShutdown();
         return;
       }
+      case ServeRequest::Kind::Single:
+      case ServeRequest::Kind::Contest:
+        // A finished memo entry is answered here, on the reader. A
+        // miss goes to admit() and on to the pool; so does any
+        // request while draining, and admit() refuses it.
+        if (!draining.load() && answerMemoHit(conn, req))
+            return;
+        admit(conn, std::move(req));
+        return;
       default:
         admit(conn, std::move(req));
         return;
     }
+}
+
+bool
+ContestServer::answerMemoHit(const ConnPtr &conn,
+                             const ServeRequest &req)
+{
+    const auto startedAt = SimTimeline::now();
+    JsonValue resp;
+    if (req.kind == ServeRequest::Kind::Single) {
+        const LoggedRun *run = runner_->finishedSingle(
+            req.bench, coreConfigByName(req.core));
+        if (run == nullptr)
+            return false;
+        resp = singleResponse(req, *run);
+    } else {
+        const ContestResult *result = runner_->finishedContest(
+            req.bench, contestCores(req), ContestConfig{},
+            req.traceLenOverride);
+        if (result == nullptr)
+            return false;
+        resp = contestResponse(req, *result);
+    }
+    respondOk(conn, resp, 0.0,
+              msBetween(startedAt, SimTimeline::now()), true);
+    return true;
 }
 
 void
@@ -353,22 +429,14 @@ ContestServer::dispatcherLoop()
     }
 }
 
-bool
-ContestServer::warmKey(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(seenMu);
-    // insert() reports whether the key was already dispatched; a
-    // concurrent identical request therefore counts as warm — it
-    // blocks on the Runner's once-latch and reuses the result.
-    return !seenKeys.insert(key).second;
-}
-
 void
 ContestServer::execute(const Job &job)
 {
     const ServeRequest &req = job.req;
     const auto startedAt = SimTimeline::now();
-    JsonValue resp = serveOkResponse(req);
+    JsonValue resp;
+    // Warm: the memo entry already existed when the worker looked it
+    // up, i.e. a concurrent twin computed (or is computing) it.
     bool warm = false;
     bool failed = false;
 
@@ -376,52 +444,23 @@ ContestServer::execute(const Job &job)
       case ServeRequest::Kind::Sleep: {
         std::this_thread::sleep_for(
             std::chrono::milliseconds(req.sleepMs));
+        resp = serveOkResponse(req);
         resp.set("slept_ms",
                  JsonValue::number(
                      static_cast<double>(req.sleepMs)));
         break;
       }
-      case ServeRequest::Kind::Single: {
-        const CoreConfig &core = coreConfigByName(req.core);
-        warm = warmKey(ResultCache::singleRunKey(
-            core, req.bench, opts.seed, opts.traceLen));
-        const LoggedRun &run = runner_->single(req.bench, core);
-        resp.set("time_ps",
-                 JsonValue::number(static_cast<double>(
-                     run.result.timePs.count())));
-        resp.set("ipt", JsonValue::number(run.result.ipt));
-        resp.set("energy_nj",
-                 JsonValue::number(run.result.energy.totalNj()));
+      case ServeRequest::Kind::Single:
+        resp = singleResponse(
+            req, runner_->single(req.bench, coreConfigByName(req.core),
+                                 0, &warm));
         break;
-      }
-      case ServeRequest::Kind::Contest: {
-        std::vector<CoreConfig> cores;
-        cores.reserve(req.cores.size());
-        for (const std::string &name : req.cores)
-            cores.push_back(coreConfigByName(name));
-        const ContestConfig config{};
-        const std::uint64_t useLen = req.traceLenOverride != 0
-                                         ? req.traceLenOverride
-                                         : opts.traceLen;
-        warm = warmKey(ResultCache::contestKey(
-            req.bench, cores, config, opts.seed, useLen));
-        const ContestResult &result = runner_->contested(
-            req.bench, cores, config, req.traceLenOverride);
-        resp.set("time_ps",
-                 JsonValue::number(
-                     static_cast<double>(result.timePs.count())));
-        resp.set("ipt", JsonValue::number(result.ipt));
-        resp.set("lead_changes",
-                 JsonValue::number(static_cast<double>(
-                     result.leadChanges)));
-        resp.set("energy_nj",
-                 JsonValue::number(result.totalEnergyNj()));
-        JsonValue lead = JsonValue::array();
-        for (double f : result.leadFraction)
-            lead.push(JsonValue::number(f));
-        resp.set("lead_fraction", std::move(lead));
+      case ServeRequest::Kind::Contest:
+        resp = contestResponse(
+            req, runner_->contested(req.bench, contestCores(req),
+                                    ContestConfig{},
+                                    req.traceLenOverride, &warm));
         break;
-      }
       case ServeRequest::Kind::Experiment: {
         const ExperimentInfo *info =
             ExperimentRegistry::instance().find(req.experiment);
@@ -439,6 +478,7 @@ ContestServer::execute(const Job &job)
         ArtifactSink sink("", false);
         ExperimentContext ctx{*runner_, sink, *info};
         info->fn(ctx);
+        resp = serveOkResponse(req);
         JsonValue artifacts = JsonValue::array();
         for (const FigureArtifact &a : sink.emitted())
             artifacts.push(a.toJson());
@@ -453,22 +493,28 @@ ContestServer::execute(const Job &job)
         break;
     }
 
-    const auto endedAt = SimTimeline::now();
-    if (!failed) {
-        if (warm)
-            warmHits.fetch_add(1);
-        JsonValue timing = JsonValue::object();
-        timing.set("queue_ms", JsonValue::number(msBetween(
-                                   job.queuedAt, startedAt)));
-        timing.set("run_ms",
-                   JsonValue::number(msBetween(startedAt, endedAt)));
-        timing.set("warm", JsonValue::boolean(warm));
-        resp.set("timing", std::move(timing));
-        requestsOk.fetch_add(1);
-    } else {
+    if (failed) {
         requestsFailed.fetch_add(1);
+        respond(job.conn, resp);
+        return;
     }
-    respond(job.conn, resp);
+    respondOk(job.conn, resp, msBetween(job.queuedAt, startedAt),
+              msBetween(startedAt, SimTimeline::now()), warm);
+}
+
+void
+ContestServer::respondOk(const ConnPtr &conn, JsonValue &resp,
+                         double queue_ms, double run_ms, bool warm)
+{
+    if (warm)
+        warmHits.fetch_add(1);
+    JsonValue timing = JsonValue::object();
+    timing.set("queue_ms", JsonValue::number(queue_ms));
+    timing.set("run_ms", JsonValue::number(run_ms));
+    timing.set("warm", JsonValue::boolean(warm));
+    resp.set("timing", std::move(timing));
+    requestsOk.fetch_add(1);
+    respond(conn, resp);
 }
 
 JsonValue

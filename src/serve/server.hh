@@ -12,21 +12,30 @@
  *    used for shutdown wakeup) and spawns one reader thread per
  *    connection;
  *  - the reader decodes frames, parses and validates the request,
- *    answers ping/stats/shutdown inline, and pushes simulation work
- *    into a bounded admission queue (blocking the connection — not
- *    the server — when the queue is full);
+ *    answers ping/stats/shutdown inline, and answers a single or
+ *    contest request inline too when the Runner already holds its
+ *    finished result (a memo hit: no queue, no worker);
+ *  - everything else — memo misses, experiments, sleeps — goes into
+ *    a bounded admission queue (blocking the connection — not the
+ *    server — when the queue is full);
  *  - a dispatcher thread drains the admission queue in batches and
  *    posts each request into the ThreadPool, whose `--jobs` workers
- *    execute simulations through the shared Runner (memoized, disk
+ *    run the simulations through the shared Runner (memoized, disk
  *    cached);
- *  - the worker writes the response back under the connection's
- *    write mutex, so responses from concurrent requests interleave
- *    per frame, never mid-frame.
+ *  - responses are written under the connection's write mutex, so
+ *    responses from concurrent requests interleave per frame, never
+ *    mid-frame.
+ *
+ * Warm (`timing.warm`) comes from the Runner: a memo hit is warm,
+ * and so is a queued request whose memo entry already existed when
+ * its worker looked it up (a concurrent identical request).
  *
  * Graceful drain (SIGTERM or a `shutdown` request): stop accepting,
- * refuse new work with a structured error, flush the admission
- * queue, wait for in-flight simulations, ack the shutdown
- * request(s), then close every connection. requestShutdown() is
+ * refuse new work — memo hits included — with a structured error,
+ * flush the admission queue, wait for in-flight simulations, ack
+ * the shutdown request(s), then close every connection. The pool
+ * only ever runs simulations; the server keeps no key set of its
+ * own. requestShutdown() is
  * async-signal-safe: it performs one atomic store and one pipe
  * write; all condition-variable traffic happens on ordinary threads.
  */
@@ -43,7 +52,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/json.hh"
@@ -147,14 +155,19 @@ class ContestServer
      *  call. */
     void joinFinishedReaders();
     void handleFrame(const ConnPtr &conn, const std::string &payload);
+    /** Answer a single/contest request from a finished Runner memo
+     *  entry, on the calling reader. @return false on a miss (the
+     *  request must then be admitted). */
+    bool answerMemoHit(const ConnPtr &conn, const ServeRequest &req);
     /** Enqueue a simulation request, or refuse it while draining. */
     void admit(const ConnPtr &conn, ServeRequest req);
     /** Execute one admitted job on a pool worker. */
     void execute(const Job &job);
     void respond(const ConnPtr &conn, const JsonValue &resp);
+    /** Stamp @p resp's timing block, count it ok, and send it. */
+    void respondOk(const ConnPtr &conn, JsonValue &resp,
+                   double queue_ms, double run_ms, bool warm);
     JsonValue statsJson(const ServeRequest &req);
-    /** True when @p key was dispatched before (and marks it seen). */
-    bool warmKey(const std::string &key);
     /** Run the drain protocol; called by the accept thread once
      *  draining is observed. */
     void drainAndStop();
@@ -194,9 +207,6 @@ class ContestServer
     std::mutex inFlightMu;
     std::condition_variable inFlightCv;
     std::size_t inFlight = 0;
-
-    std::mutex seenMu;
-    std::unordered_set<std::string> seenKeys;
 
     /** Connections owed a shutdown ack (sent after the drain). */
     std::mutex ackMu;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "core/palette.hh"
 #include "harness/runner.hh"
 
@@ -56,6 +58,86 @@ TEST(Runner, CachesSingleRuns)
     EXPECT_EQ(&first, &again);
     EXPECT_GT(first.result.ipt, 0.0);
     EXPECT_EQ(first.regions->size(), 8000u / RegionLog::regionInsts);
+}
+
+TEST(Runner, TimelineSpansNameTheirCacheEntry)
+{
+    // An I-cache variant keeps its palette name; the span labels
+    // still tell the two runs apart, by their entry-file stems.
+    Runner runner(4000, 1);
+    SimTimeline timeline;
+    runner.setTimeline(&timeline);
+    const CoreConfig own = coreConfigByName("vpr");
+    const CoreConfig icache = [&] {
+        CoreConfig c = own;
+        c.modelICache = true;
+        return c;
+    }();
+    runner.single("vpr", own);
+    runner.single("vpr", icache);
+
+    const auto spans = timeline.spans();
+    ASSERT_EQ(spans.size(), 2u);
+    EXPECT_NE(spans[0].label, spans[1].label);
+    for (const CoreConfig *config : {&own, &icache}) {
+        const std::string label =
+            "vpr@vpr#"
+            + ResultCache::entryStem(
+                ResultCache::singleRunKey(*config, "vpr", 1, 4000));
+        EXPECT_TRUE(spans[0].label == label || spans[1].label == label)
+            << label;
+    }
+}
+
+TEST(Runner, FinishedPeekSeesOnlyCompletedRuns)
+{
+    Runner runner(4000, 1);
+    const CoreConfig &vpr = coreConfigByName("vpr");
+    EXPECT_EQ(runner.finishedSingle("vpr", vpr), nullptr);
+    bool memo_hit = true;
+    const LoggedRun &run = runner.single("vpr", vpr, 0, &memo_hit);
+    EXPECT_FALSE(memo_hit);
+    EXPECT_EQ(runner.finishedSingle("vpr", vpr), &run);
+    // The trace-length rule matches single(): 0 and the configured
+    // length name one entry, another length a different one.
+    EXPECT_EQ(runner.finishedSingle("vpr", vpr, 4000), &run);
+    EXPECT_EQ(runner.finishedSingle("vpr", vpr, 3000), nullptr);
+    runner.single("vpr", vpr, 0, &memo_hit);
+    EXPECT_TRUE(memo_hit);
+
+    const std::vector<CoreConfig> pair = {vpr,
+                                          coreConfigByName("gcc")};
+    EXPECT_EQ(runner.finishedContest("vpr", pair, {}), nullptr);
+    const ContestResult &result =
+        runner.contested("vpr", pair, {}, 0, &memo_hit);
+    EXPECT_FALSE(memo_hit);
+    EXPECT_EQ(runner.finishedContest("vpr", pair, {}), &result);
+    EXPECT_EQ(runner.simulationsPerformed(), 1u);
+    EXPECT_EQ(runner.contestsPerformed(), 1u);
+}
+
+TEST(Runner, FinishedPeekFromAnotherThreadSeesTheWholeResult)
+{
+    // The peek's acquire load pairs with the latch's release store:
+    // a reader that spins until the entry is finished reads the
+    // result the computing thread wrote (the sanitizer jobs check
+    // the pairing).
+    Runner runner(4000, 2);
+    const CoreConfig &gzip = coreConfigByName("gzip");
+    const LoggedRun *seen = nullptr;
+    TimePs seenTime{};
+    std::vector<TimePs> seenSeries;
+    std::thread peeker([&] {
+        while ((seen = runner.finishedSingle("gzip", gzip)) == nullptr)
+            std::this_thread::yield();
+        seenTime = seen->result.timePs;
+        seenSeries = seen->regions->series();
+    });
+    const LoggedRun &run = runner.single("gzip", gzip);
+    peeker.join();
+    EXPECT_EQ(seen, &run);
+    EXPECT_EQ(seenTime, run.result.timePs);
+    EXPECT_EQ(seenSeries, run.regions->series());
 }
 
 TEST(Runner, TraceIsSharedAcrossRuns)

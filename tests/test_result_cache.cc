@@ -71,6 +71,45 @@ TEST_F(ResultCacheTest, KeyIsCanonicalAndConfigSensitive)
               ResultCache::singleRunKey(tweaked, "gcc", 2009, 400000));
 }
 
+TEST_F(ResultCacheTest, KeyTextIsPinned)
+{
+    // Entry files are named by a digest of this text, so any byte
+    // that changes orphans every cache directory written before.
+    const std::string single =
+        ResultCache::singleRunKey(coreConfigByName("gcc"), "gcc", 2009,
+                                  400000);
+    EXPECT_EQ(single,
+              "bench=gcc;seed=2009;len=400000;core=gcc;memlat=186;"
+              "fed=7;width=4;rob=256;iq=32;wakeup=1;sched=2;clock=310;"
+              "l1d=32768/1/8/4/0/1;l2=1024/8/64/6/0/1;lsq=256;"
+              "l1dports=2;mshrs=8;bw=16;btbmiss=2;syscall=64;"
+              "bpred=3/13/12/10/10;btb=512/4;icache=0;"
+              "l1i=512/2/64/1/0/1;");
+
+    const std::string contest = ResultCache::contestKey(
+        "gcc", {coreConfigByName("gcc"), coreConfigByName("twolf")},
+        ContestConfig{}, 2009, 40000);
+    EXPECT_EQ(contest,
+              "contest;bench=gcc;seed=2009;len=40000;grb=1000;"
+              "fifo=8192;sq=4096;inj=0;early=1;park=1;exc=20000;"
+              "intp=0;inth=500000;wd=40000000;ncores=2;"
+              "[0]core=gcc;memlat=186;fed=7;width=4;rob=256;iq=32;"
+              "wakeup=1;sched=2;clock=310;l1d=32768/1/8/4/0/1;"
+              "l2=1024/8/64/6/0/1;lsq=256;l1dports=2;mshrs=8;bw=16;"
+              "btbmiss=2;syscall=64;bpred=3/13/12/10/10;btb=512/4;"
+              "icache=0;l1i=512/2/64/1/0/1;"
+              "[1]core=twolf;memlat=172;fed=6;width=5;rob=512;iq=64;"
+              "wakeup=1;sched=2;clock=330;l1d=128/8/64/3/0/1;"
+              "l2=2048/4/128/12/0/1;lsq=256;l1dports=3;mshrs=8;bw=16;"
+              "btbmiss=2;syscall=64;bpred=3/13/12/10/10;btb=512/4;"
+              "icache=0;l1i=512/2/64/1/0/1;");
+
+    ResultCache cache(dir);
+    EXPECT_EQ(cache.entryPath(single), dir + "/47eddafabf302d1a.bin");
+    EXPECT_EQ(cache.entryPath(contest), dir + "/33b6690c7550b226.bin");
+    EXPECT_EQ(ResultCache::entryStem(single), "47eddafabf302d1a");
+}
+
 TEST_F(ResultCacheTest, StoreThenLoadRoundTrips)
 {
     ResultCache cache(dir);

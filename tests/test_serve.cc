@@ -4,15 +4,17 @@
  * (partial reads, pipelined frames, oversized-prefix poisoning),
  * request parsing and validation (every malformed shape must come
  * back as a structured error, never a panic), and the live server —
- * including the concurrency contract (two identical concurrent
- * requests simulate exactly once) and graceful-drain semantics
- * (in-flight work completes, new work is refused, the shutdown ack
+ * including memo hits answered without the admission queue, the
+ * concurrency contract (two identical concurrent requests simulate
+ * exactly once) and graceful-drain semantics (in-flight work
+ * completes, new work and memo hits are refused, the shutdown ack
  * arrives after the drain) — and that closed connections give back
  * their fds while the server runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <string>
@@ -65,6 +67,19 @@ singleRequest(const char *bench, const char *core, double id)
     JsonValue req = request("single", id);
     req.set("bench", JsonValue::str(bench));
     req.set("core", JsonValue::str(core));
+    return req;
+}
+
+JsonValue
+contestRequest(const char *bench, std::vector<const char *> cores,
+               double id)
+{
+    JsonValue req = request("contest", id);
+    req.set("bench", JsonValue::str(bench));
+    JsonValue arr = JsonValue::array();
+    for (const char *core : cores)
+        arr.push(JsonValue::str(core));
+    req.set("cores", std::move(arr));
     return req;
 }
 
@@ -278,7 +293,7 @@ TEST(ServeServer, AnswersPingStatsAndDrainsOnShutdown)
     ::unlink(server.target().unixPath.c_str());
 }
 
-TEST(ServeServer, RunsSinglesAndMarksRepeatsWarm)
+TEST(ServeServer, RepeatsAreWarmMemoHitsThatSkipTheAdmissionQueue)
 {
     ContestServer server(testOptions("warm", 2));
     std::string error;
@@ -286,24 +301,55 @@ TEST(ServeServer, RunsSinglesAndMarksRepeatsWarm)
 
     ServeClient client;
     ASSERT_TRUE(client.connect(server.target(), &error)) << error;
+    auto batches = [&] {
+        JsonValue stats;
+        EXPECT_TRUE(client.call(request("stats", 0), stats, &error))
+            << error;
+        return stats.at("server").at("admission").at("batches")
+            .asNumber();
+    };
 
-    JsonValue resp;
-    ASSERT_TRUE(client.call(singleRequest("gcc", "twolf", 1), resp,
-                            &error))
-        << error;
-    ASSERT_TRUE(okFlag(resp)) << errorText(resp);
-    EXPECT_GT(resp.at("time_ps").asNumber(), 0.0);
-    EXPECT_GT(resp.at("ipt").asNumber(), 0.0);
-    EXPECT_FALSE(resp.at("timing").at("warm").asBool());
-    const double coldPs = resp.at("time_ps").asNumber();
+    const JsonValue requests[] = {
+        singleRequest("gcc", "twolf", 1),
+        contestRequest("gcc", {"gcc", "twolf"}, 2)};
+    for (const JsonValue &req : requests) {
+        JsonValue cold;
+        ASSERT_TRUE(client.call(req, cold, &error)) << error;
+        ASSERT_TRUE(okFlag(cold)) << errorText(cold);
+        EXPECT_GT(cold.at("time_ps").asNumber(), 0.0);
+        EXPECT_GT(cold.at("ipt").asNumber(), 0.0);
+        EXPECT_FALSE(cold.at("timing").at("warm").asBool());
+        const double batchesBefore = batches();
+        const std::uint64_t singles =
+            server.runner().simulationsPerformed();
+        const std::uint64_t contests =
+            server.runner().contestsPerformed();
 
-    ASSERT_TRUE(client.call(singleRequest("gcc", "twolf", 2), resp,
-                            &error))
-        << error;
-    ASSERT_TRUE(okFlag(resp)) << errorText(resp);
-    EXPECT_TRUE(resp.at("timing").at("warm").asBool());
-    EXPECT_EQ(resp.at("time_ps").asNumber(), coldPs);
-    EXPECT_EQ(server.runner().simulationsPerformed(), 1u);
+        // Repeats are answered on the reader: no queue wait, no
+        // dispatcher batch, no simulation.
+        for (int repeat = 0; repeat < 3; ++repeat) {
+            JsonValue warm;
+            ASSERT_TRUE(client.call(req, warm, &error)) << error;
+            ASSERT_TRUE(okFlag(warm)) << errorText(warm);
+            EXPECT_TRUE(warm.at("timing").at("warm").asBool());
+            EXPECT_EQ(warm.at("timing").at("queue_ms").asNumber(), 0.0);
+            // The inline path shares the response schema with the
+            // worker path, field for field.
+            for (const char *field :
+                 {"id", "kind", "time_ps", "ipt", "energy_nj",
+                  "lead_changes", "lead_fraction"}) {
+                const JsonValue *c = cold.find(field);
+                const JsonValue *w = warm.find(field);
+                ASSERT_EQ(c == nullptr, w == nullptr) << field;
+                if (c != nullptr) {
+                    EXPECT_EQ(w->dump(0), c->dump(0)) << field;
+                }
+            }
+        }
+        EXPECT_EQ(batches(), batchesBefore);
+        EXPECT_EQ(server.runner().simulationsPerformed(), singles);
+        EXPECT_EQ(server.runner().contestsPerformed(), contests);
+    }
 
     server.requestShutdown();
     server.waitUntilStopped();
@@ -323,6 +369,7 @@ TEST(ServeServer, ConcurrentIdenticalRequestsSimulateExactlyOnce)
     // One byte per client: std::vector<bool> packs the flags into
     // one word, and the two threads' writes would race on it.
     std::vector<char> got(kClients, 0);
+    std::vector<char> warm(kClients, 0);
     std::vector<double> timePs(kClients, 0.0);
     {
         std::vector<std::thread> threads;
@@ -338,6 +385,7 @@ TEST(ServeServer, ConcurrentIdenticalRequestsSimulateExactlyOnce)
                     return;
                 if (okFlag(resp)) {
                     got[i] = 1;
+                    warm[i] = resp.at("timing").at("warm").asBool();
                     timePs[i] = resp.at("time_ps").asNumber();
                 }
             });
@@ -348,6 +396,9 @@ TEST(ServeServer, ConcurrentIdenticalRequestsSimulateExactlyOnce)
         EXPECT_TRUE(got[i]) << "client " << i;
         EXPECT_EQ(timePs[i], timePs[0]);
     }
+    // Whichever request lost the race, inline or at the latch, was
+    // answered from the winner's result.
+    EXPECT_EQ(std::count(warm.begin(), warm.end(), 0), 1);
     EXPECT_EQ(server.runner().simulationsPerformed(), 1u);
 
     server.requestShutdown();
@@ -506,6 +557,24 @@ TEST(ServeServer, DrainCompletesInFlightWorkAndRefusesNewWork)
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
 
+    // Client B caches one result before anything else happens.
+    ServeClient b;
+    ASSERT_TRUE(b.connect(server.target(), &error)) << error;
+    JsonValue resp;
+    ASSERT_TRUE(b.call(singleRequest("gzip", "gzip", 199), resp, &error))
+        << error;
+    ASSERT_TRUE(okFlag(resp)) << errorText(resp);
+    // Its worker counts itself out just after it answers; wait for
+    // that, so the in-flight poll below sees A's sleep, not this.
+    for (int tries = 0; tries < 200; ++tries) {
+        ASSERT_TRUE(b.call(request("stats", 198), resp, &error))
+            << error;
+        if (resp.at("server").at("in_flight").asNumber() == 0.0)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_EQ(resp.at("server").at("in_flight").asNumber(), 0.0);
+
     // Client A parks a worker in a long sleep.
     ServeClient a;
     ASSERT_TRUE(a.connect(server.target(), &error)) << error;
@@ -514,10 +583,8 @@ TEST(ServeServer, DrainCompletesInFlightWorkAndRefusesNewWork)
     ASSERT_TRUE(a.send(sleepReq, &error)) << error;
 
     // Client B waits until the sleep is in flight, then asks for
-    // shutdown and immediately tries to queue more work.
-    ServeClient b;
-    ASSERT_TRUE(b.connect(server.target(), &error)) << error;
-    JsonValue resp;
+    // shutdown and immediately tries to queue more work, and to read
+    // the result it cached.
     for (int tries = 0; tries < 200; ++tries) {
         ASSERT_TRUE(b.call(request("stats", 200), resp, &error))
             << error;
@@ -531,13 +598,18 @@ TEST(ServeServer, DrainCompletesInFlightWorkAndRefusesNewWork)
     JsonValue refusedReq = request("sleep", 202);
     refusedReq.set("ms", JsonValue::number(1));
     ASSERT_TRUE(b.send(refusedReq, &error)) << error;
+    ASSERT_TRUE(b.send(singleRequest("gzip", "gzip", 203), &error))
+        << error;
 
-    // B's refusal arrives before the shutdown ack: the ack waits
-    // for the drain, the refusal does not.
-    ASSERT_TRUE(b.recv(resp, &error)) << error;
-    EXPECT_EQ(resp.at("id").asNumber(), 202.0);
-    EXPECT_FALSE(okFlag(resp));
-    EXPECT_NE(errorText(resp).find("draining"), std::string::npos);
+    // B's refusals arrive before the shutdown ack: the ack waits
+    // for the drain, the refusals do not. A memo hit is refused
+    // like any other work.
+    for (const double id : {202.0, 203.0}) {
+        ASSERT_TRUE(b.recv(resp, &error)) << error;
+        EXPECT_EQ(resp.at("id").asNumber(), id);
+        EXPECT_FALSE(okFlag(resp));
+        EXPECT_NE(errorText(resp).find("draining"), std::string::npos);
+    }
 
     // A's in-flight sleep still completes successfully.
     ASSERT_TRUE(a.recv(resp, &error)) << error;
